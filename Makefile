@@ -25,9 +25,9 @@ race:
 	$(GO) test -race ./...
 
 # Micro-benchmarks of the hot paths (sketch update/estimate, heap ops,
-# fused learner updates, sharded/Hogwild throughput).
+# fused learner updates, sharded throughput).
 bench:
-	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|Hogwild' -benchtime 2s . ./internal/sketch ./internal/topk
+	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded' -benchtime 2s . ./internal/sketch ./internal/topk
 
 # Machine-readable throughput snapshot for the perf trajectory: writes
 # BENCH_throughput.json via cmd/wmbench (see PERFORMANCE.md).

@@ -14,8 +14,8 @@ import (
 
 // Throughput mode measures raw update throughput of the paper's primary
 // contribution on the current hardware: single-thread AWM-/WM-Sketch at
-// the standard 2 KB and 32 KB budgets, plus the sharded and Hogwild
-// parallel learners across worker counts. Results go to stdout and,
+// the standard 2 KB and 32 KB budgets, plus the sharded parallel learner
+// across worker counts. Results go to stdout and,
 // with -json, to a machine-readable file for the perf trajectory
 // (`make bench-json` writes BENCH_throughput.json).
 
@@ -50,8 +50,6 @@ func runThroughput(examples, workers int, jsonPath string) {
 	cfg2KB := core.Config{Width: 256, Depth: 1, HeapSize: 128, Lambda: 1e-6, Seed: 1}
 	cfg32KB := core.Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 1}
 	cfgWM := core.Config{Width: 2048, Depth: 2, HeapSize: 128, Lambda: 1e-6, Seed: 1}
-	cfgHog := cfg32KB
-	cfgHog.Lambda = 0 // Hogwild mode requires λ = 0
 
 	report := throughputReport{
 		GOOS:       runtime.GOOS,
@@ -86,12 +84,12 @@ func runThroughput(examples, workers int, jsonPath string) {
 	add("awm_update_32kb_single", 1, single(core.NewAWMSketch(cfg32KB)))
 	add("wm_update_depth2_single", 1, single(core.NewWMSketch(cfgWM)))
 
-	// Parallel learners at 1..workers, batch-routed (256 examples per
+	// The parallel learner at 1..workers, batch-routed (256 examples per
 	// batch) the way a real ingest pipeline would feed them.
 	const batch = 256
-	parallel := func(cfg core.Config, opt core.ShardedOptions) func() int {
+	parallel := func(w int) func() int {
 		return func() int {
-			s := core.NewSharded(cfg, opt)
+			s := core.NewSharded(cfg32KB, core.ShardedOptions{Workers: w, SyncEvery: -1})
 			n := 0
 			for n+batch <= len(data) {
 				s.UpdateBatch(data[n : n+batch])
@@ -111,12 +109,7 @@ func runThroughput(examples, workers int, jsonPath string) {
 		sweep = append(sweep, workers)
 	}
 	for _, w := range sweep {
-		add(fmt.Sprintf("sharded_awm_32kb_w%d", w), w,
-			parallel(cfg32KB, core.ShardedOptions{Workers: w, SyncEvery: -1}))
-	}
-	for _, w := range sweep {
-		add(fmt.Sprintf("hogwild_32kb_w%d", w), w,
-			parallel(cfgHog, core.ShardedOptions{Workers: w, SyncEvery: -1, Hogwild: true}))
+		add(fmt.Sprintf("sharded_awm_32kb_w%d", w), w, parallel(w))
 	}
 
 	if jsonPath != "" {

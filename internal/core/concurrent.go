@@ -10,11 +10,10 @@ import (
 
 // Concurrent wraps any Learner with a reader/writer lock so that one
 // writer (the update path) and many readers (Estimate/TopK/Predict
-// queries) can share a sketch safely across goroutines. Section 9 notes
-// that sketched gradient updates tolerate Hogwild-style lock-free
-// execution; this wrapper is the conservative, race-free counterpart —
-// the right default for a library, with the lock-free mode left as an
-// opt-in research configuration.
+// queries) can share a sketch safely across goroutines. It is the
+// conservative choice for one model that must be trained and queried
+// with strict consistency; Sharded is the multi-core trainer, and serves
+// queries from a periodically merged snapshot instead.
 type Concurrent struct {
 	mu sync.RWMutex
 	l  stream.Learner

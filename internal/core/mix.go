@@ -232,13 +232,20 @@ func (m *Mixed) Estimate(i uint32) float64 {
 	return m.sqrtS * m.cs.Estimate(i)
 }
 
-// Predict evaluates the margin wᵀx under the mixed model.
+// Predict evaluates the margin wᵀx under the mixed model, taking each
+// feature's weight from the mixed heavy weights where present and from the
+// merged sketch otherwise — the same split Estimate and AWMSketch.Predict
+// make.
 func (m *Mixed) Predict(x stream.Vector) float64 {
 	dot := 0.0
 	for _, f := range x {
-		dot += f.Value * m.cs.SumSigned(f.Index)
+		if w, ok := m.exact[f.Index]; ok {
+			dot += w * f.Value
+		} else {
+			dot += f.Value * m.cs.SumSigned(f.Index) / m.sqrtS
+		}
 	}
-	return dot / m.sqrtS
+	return dot
 }
 
 // TopK returns the k heaviest features of the mixed model.
@@ -266,6 +273,19 @@ func (w *WMSketch) ModelSnapshot() (Snapshot, error) {
 // set written back, plus the current decay scale.
 func (a *AWMSketch) ModelSnapshot() (Snapshot, error) {
 	return Snapshot{CS: a.rawSketch(), Scale: a.scale, Heavy: rawHeapWeights(a.active.Entries()), Steps: a.t}, nil
+}
+
+// rawSketch returns a deep copy of the AWM-Sketch's projection with every
+// active-set weight written back (sketch(i) += S[i] − Query(i), the same
+// reconciliation Algorithm 2 performs on eviction) but the decay scale NOT
+// folded, so it answers √s·scale·median queries for *all* features.
+func (a *AWMSketch) rawSketch() *sketch.CountSketch {
+	c := a.cs.Clone()
+	for _, e := range a.active.Entries() {
+		delta := e.Weight - a.sqrtS*c.Estimate(e.Key)
+		c.Update(e.Key, delta/a.sqrtS)
+	}
+	return c
 }
 
 // rawHeapWeights converts heap entries to unscaled Weighted pairs (the

@@ -77,21 +77,17 @@ func LoadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AW
 	return a, nil
 }
 
-// WriteTo checkpoints the parallel learner in private-shard mode: a header
-// (magic, version, variant, worker count, routed-update counter) followed by
-// each worker's model in its own serialization. The workers are quiesced in
-// place for the duration of the write via a freeze handshake on the same
-// FIFO queues that carry examples, so the checkpoint reflects every example
-// routed before the call and training resumes as soon as the write ends —
-// no teardown, no merge. Hogwild mode is not checkpointable: the shared
-// sketch admits no consistent cut while CAS writers race.
+// WriteTo checkpoints the parallel learner: a header (magic, version, a
+// reserved variant word that is always 0, worker count, routed-update
+// counter) followed by each worker's AWM-Sketch in its own serialization.
+// The workers are quiesced in place for the duration of the write via a
+// freeze handshake on the same FIFO queues that carry examples, so the
+// checkpoint reflects every example routed before the call and training
+// resumes as soon as the write ends — no teardown, no merge.
 //
 // WriteTo may run concurrently with Update; updates queue behind the freeze
 // and are applied after it releases.
 func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
-	if s.hog != nil {
-		return 0, fmt.Errorf("core: hogwild-mode Sharded cannot be checkpointed")
-	}
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	if !s.closed.Load() {
@@ -109,10 +105,9 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 	// read directly.
 	bw := bufio.NewWriter(out)
 	var n int64
-	variant := uint32(s.opt.Variant)
 	fields := []interface{}{
 		uint32(magicSharded), uint32(serializeVersion),
-		variant, uint32(len(s.workers)), s.pending.Load(),
+		uint32(shardVariantAWM), uint32(len(s.workers)), s.pending.Load(),
 	}
 	for _, f := range fields {
 		if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
@@ -133,16 +128,18 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 	return n, nil
 }
 
+// shardVariantAWM is the only value of the Sharded header's variant word:
+// every shard is an AWM-Sketch. The word is kept so checkpoint bytes stay
+// unchanged.
+const shardVariantAWM = 0
+
 // LoadSharded restores a parallel learner checkpointed by Sharded.WriteTo.
 // loss and schedule replace the serialized behaviour (nil selects the
-// defaults); opt configures queue sizes and sync cadence, but the worker
-// count and shard variant come from the checkpoint — per-shard state cannot
-// be re-partitioned — and Hogwild must be off. The restored learner is live
-// (workers running) with its query snapshot already rebuilt.
+// defaults); opt configures the sync cadence, but the worker count comes
+// from the checkpoint — per-shard state cannot be re-partitioned. The
+// restored learner is live (workers running) with its query snapshot
+// already rebuilt.
 func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
-	if opt.Hogwild {
-		return nil, fmt.Errorf("core: hogwild-mode Sharded cannot be restored from a checkpoint")
-	}
 	br := bufio.NewReader(r)
 	var magic, version, variant, workers uint32
 	var pending int64
@@ -160,47 +157,28 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 	if workers == 0 || workers > maxShardedWorkers {
 		return nil, fmt.Errorf("core: implausible worker count %d", workers)
 	}
-	if variant != uint32(ShardAWM) && variant != uint32(ShardWM) {
+	if variant != shardVariantAWM {
 		return nil, fmt.Errorf("core: unknown shard variant %d", variant)
 	}
 	if pending < 0 {
 		return nil, fmt.Errorf("core: negative update counter %d", pending)
 	}
-	models := make([]shardModel, workers)
-	var cfg Config
+	models := make([]*AWMSketch, workers)
 	for i := range models {
-		var (
-			m   shardModel
-			c   Config
-			err error
-		)
-		if ShardVariant(variant) == ShardWM {
-			var w *WMSketch
-			w, err = LoadWMSketch(br, loss, schedule)
-			if w != nil {
-				m, c = w, w.cfg
-			}
-		} else {
-			var a *AWMSketch
-			a, err = LoadAWMSketch(br, loss, schedule)
-			if a != nil {
-				m, c = a, a.cfg
-			}
-		}
+		m, err := LoadAWMSketch(br, loss, schedule)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
-		if i == 0 {
-			cfg = c
-		} else if c.Width != cfg.Width || c.Depth != cfg.Depth || c.Seed != cfg.Seed {
-			return nil, fmt.Errorf("core: shard %d shape/seed disagrees with shard 0", i)
+		if i > 0 {
+			if c := models[0].cfg; m.cfg.Width != c.Width || m.cfg.Depth != c.Depth || m.cfg.Seed != c.Seed {
+				return nil, fmt.Errorf("core: shard %d shape/seed disagrees with shard 0", i)
+			}
 		}
 		models[i] = m
 	}
 	opt.Workers = int(workers)
-	opt.Variant = ShardVariant(variant)
 	opt.fill()
-	s := newShardedFromModels(cfg, opt, models)
+	s := newShardedFromModels(models[0].cfg, opt, models)
 	s.pending.Store(pending)
 	s.Sync()
 	return s, nil

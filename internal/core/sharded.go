@@ -2,27 +2,24 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
 )
 
-// Sharded is a parallel learner that scales WM-/AWM-Sketch training across
+// Sharded is a parallel learner that scales AWM-Sketch training across
 // cores, realizing the asynchronous-update extension sketched in Section 9
 // of the paper. The incoming stream is partitioned round-robin across P
-// workers. In the default mode each worker owns a *private* sketch and
-// heap — no shared mutable state on the update path at all — and the
-// per-shard models are periodically merged into a read-only snapshot by
-// exploiting Count-Sketch linearity (internal/sketch/merge.go): the average
-// of the shard sketches is exactly the sketch of the averaged shard models
-// (parameter mixing). In Hogwild mode (ShardedOptions.Hogwild) all workers
-// share a single sketch updated with lock-free compare-and-swap adds
-// instead, trading bounded gradient staleness for zero merge latency.
+// workers. Each worker owns a *private* AWM-Sketch — no shared mutable
+// state on the update path at all — and the per-shard models are
+// periodically merged into a read-only snapshot by exploiting Count-Sketch
+// linearity (internal/sketch/merge.go): the average of the shard sketches
+// is exactly the sketch of the averaged shard models (parameter mixing).
+// Section 9's other option, lock-free updates to one shared sketch, is
+// deliberately absent: it measured slower than private shards at every
+// worker count (PERFORMANCE.md §4).
 //
 // Queries (Predict/Estimate/TopK) are served from the most recent merged
 // snapshot under a read lock, so they never contend with training beyond
@@ -37,9 +34,7 @@ import (
 type Sharded struct {
 	cfg      Config
 	opt      ShardedOptions
-	sqrtS    float64
 	workers  []*shardWorker
-	hog      *hogwildState // non-nil in Hogwild mode
 	memBytes int
 
 	next    atomic.Uint64 // round-robin router
@@ -53,44 +48,23 @@ type Sharded struct {
 	closeOnce sync.Once
 }
 
-// ShardVariant selects the per-shard model type.
-type ShardVariant int
-
-const (
-	// ShardAWM gives each worker a private AWM-Sketch (the default; the
-	// paper's best-performing configuration).
-	ShardAWM ShardVariant = iota
-	// ShardWM gives each worker a private basic WM-Sketch.
-	ShardWM
-)
-
 // ShardedOptions configures the parallel learner.
 type ShardedOptions struct {
 	// Workers is the number of training goroutines. Defaults to
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueSize is each worker's input buffer in examples. Defaults to 256.
-	QueueSize int
 	// SyncEvery refreshes the merged query snapshot after this many routed
 	// updates. 0 selects the default (65536); negative disables automatic
 	// refresh (snapshots then only rebuild on explicit Sync/Close).
 	SyncEvery int
-	// Hogwild shares one sketch across all workers with lock-free CAS
-	// updates (Section 9) instead of private shards. Requires Lambda == 0:
-	// the lazy global decay factor cannot be maintained without
-	// synchronization. Workers keep private passive top-K heaps (WM-style);
-	// Variant is ignored.
-	Hogwild bool
-	// Variant selects the per-shard model in private-shard mode.
-	Variant ShardVariant
 }
+
+// shardQueueSize is each worker's input buffer in messages.
+const shardQueueSize = 256
 
 func (o *ShardedOptions) fill() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 256
 	}
 	if o.SyncEvery == 0 {
 		o.SyncEvery = 65536
@@ -106,7 +80,7 @@ type shardMsg struct {
 	x      stream.Vector
 	y      int
 	batch  []stream.Example
-	snap   chan<- *shardSnapshot
+	snap   chan<- Snapshot
 	freeze *shardFreeze
 }
 
@@ -120,85 +94,9 @@ type shardFreeze struct {
 	release <-chan struct{}
 }
 
-// shardSnapshot is a worker's state handed to the merger: a deep copy with
-// the global scale folded in and (for AWM shards) the active set written
-// back, plus the worker's heavy-hitter candidates with their true-scale
-// weights (exact for AWM active sets, heap estimates for WM).
-type shardSnapshot struct {
-	folded *sketch.CountSketch // nil in Hogwild mode (the sketch is shared)
-	heavy  []stream.Weighted
-	steps  int64
-}
-
 type shardWorker struct {
 	in    chan shardMsg
-	model shardModel     // private-shard mode
-	hw    *hogwildWorker // Hogwild mode
-}
-
-// shardModel is the contract a per-shard learner must satisfy to be
-// mergeable: in addition to normal learning it can produce a folded deep
-// copy of its sketch (scale applied, exact heap weights reconciled), report
-// its heavy-hitter candidates with true-scale weights, and serialize itself
-// for checkpointing.
-type shardModel interface {
-	stream.Learner
-	io.WriterTo
-	Steps() int64
-	foldedSketch() *sketch.CountSketch
-	heavyWeights() []stream.Weighted
-}
-
-// foldedSketch returns a deep copy of the WM-Sketch's projection with the
-// lazy decay factor folded into the buckets, so that √s·median queries on
-// the copy return true-scale weights.
-func (w *WMSketch) foldedSketch() *sketch.CountSketch {
-	c := w.cs.Clone()
-	if w.scale != 1 {
-		c.Scale(w.scale)
-	}
-	return c
-}
-
-func (w *WMSketch) heavyWeights() []stream.Weighted {
-	entries := w.heap.Entries()
-	out := make([]stream.Weighted, len(entries))
-	for i, e := range entries {
-		out[i] = stream.Weighted{Index: e.Key, Weight: w.scale * e.Weight}
-	}
-	return out
-}
-
-// rawSketch returns a deep copy of the AWM-Sketch's projection with every
-// active-set weight written back (sketch(i) += S[i] − Query(i), the same
-// reconciliation Algorithm 2 performs on eviction) but the decay scale NOT
-// folded, so it answers √s·scale·median queries for *all* features.
-func (a *AWMSketch) rawSketch() *sketch.CountSketch {
-	c := a.cs.Clone()
-	for _, e := range a.active.Entries() {
-		delta := e.Weight - a.sqrtS*c.Estimate(e.Key)
-		c.Update(e.Key, delta/a.sqrtS)
-	}
-	return c
-}
-
-// foldedSketch is rawSketch with the decay factor folded in, so the copy
-// answers √s·median queries directly.
-func (a *AWMSketch) foldedSketch() *sketch.CountSketch {
-	c := a.rawSketch()
-	if a.scale != 1 {
-		c.Scale(a.scale)
-	}
-	return c
-}
-
-func (a *AWMSketch) heavyWeights() []stream.Weighted {
-	entries := a.active.Entries()
-	out := make([]stream.Weighted, len(entries))
-	for i, e := range entries {
-		out[i] = stream.Weighted{Index: e.Key, Weight: e.Weight * a.scale}
-	}
-	return out
+	model *AWMSketch
 }
 
 // NewSharded returns a parallel learner over cfg with opt.Workers training
@@ -207,68 +105,31 @@ func (a *AWMSketch) heavyWeights() []stream.Weighted {
 func NewSharded(cfg Config, opt ShardedOptions) *Sharded {
 	cfg.fill()
 	opt.fill()
-	if opt.Hogwild && cfg.Lambda != 0 {
-		panic(fmt.Sprintf("core: Hogwild mode requires Lambda == 0 (lazy decay needs synchronization), got %g", cfg.Lambda))
+	models := make([]*AWMSketch, opt.Workers)
+	for i := range models {
+		models[i] = NewAWMSketch(cfg)
 	}
-	s := &Sharded{
-		cfg:   cfg,
-		opt:   opt,
-		sqrtS: math.Sqrt(float64(cfg.Depth)),
-	}
-	s.workers = make([]*shardWorker, opt.Workers)
-	if opt.Hogwild {
-		s.hog = newHogwildState(cfg)
-		for i := range s.workers {
-			s.workers[i] = &shardWorker{
-				in: make(chan shardMsg, opt.QueueSize),
-				hw: newHogwildWorker(s.hog, cfg),
-			}
-		}
-		// One shared sketch plus a private heap per worker.
-		s.memBytes = s.hog.cs.MemoryBytes() + opt.Workers*s.workers[0].hw.heap.MemoryBytes(false)
-	} else {
-		models := make([]shardModel, opt.Workers)
-		for i := range models {
-			if opt.Variant == ShardWM {
-				models[i] = NewWMSketch(cfg)
-			} else {
-				models[i] = NewAWMSketch(cfg)
-			}
-		}
-		return newShardedFromModels(cfg, opt, models)
-	}
-	s.startWorkers()
-	return s
+	return newShardedFromModels(cfg, opt, models)
 }
 
-// newShardedFromModels assembles a private-shard learner around existing
-// models — freshly constructed by NewSharded, or deserialized by
-// LoadSharded — and starts its workers. cfg must be filled and opt final.
-func newShardedFromModels(cfg Config, opt ShardedOptions, models []shardModel) *Sharded {
-	s := &Sharded{
-		cfg:   cfg,
-		opt:   opt,
-		sqrtS: math.Sqrt(float64(cfg.Depth)),
-	}
+// newShardedFromModels assembles a learner around existing shard models —
+// freshly constructed by NewSharded, or deserialized by LoadSharded —
+// installs an empty query snapshot so queries before the first sync are
+// well defined, and starts one goroutine per worker. cfg must be filled
+// and opt final.
+func newShardedFromModels(cfg Config, opt ShardedOptions, models []*AWMSketch) *Sharded {
+	s := &Sharded{cfg: cfg, opt: opt}
 	s.workers = make([]*shardWorker, len(models))
 	for i, m := range models {
-		s.workers[i] = &shardWorker{in: make(chan shardMsg, opt.QueueSize), model: m}
+		s.workers[i] = &shardWorker{in: make(chan shardMsg, shardQueueSize), model: m}
 		s.memBytes += m.MemoryBytes()
 	}
-	s.startWorkers()
-	return s
-}
-
-// startWorkers installs the initial empty query snapshot and launches one
-// goroutine per worker.
-func (s *Sharded) startWorkers() {
-	// Start with an empty (zero-sketch) snapshot so queries before the
-	// first sync are well defined.
 	s.view = EmptyMixed(s.mixOptions())
 	s.wg.Add(len(s.workers))
 	for _, w := range s.workers {
 		go s.runWorker(w)
 	}
+	return s
 }
 
 func (s *Sharded) runWorker(w *shardWorker) {
@@ -281,39 +142,20 @@ func (s *Sharded) runWorker(w *shardWorker) {
 		case msg.snap != nil:
 			msg.snap <- w.snapshot()
 		case msg.batch != nil:
-			if w.hw != nil {
-				for _, ex := range msg.batch {
-					w.hw.update(ex.X, ex.Y)
-				}
-			} else {
-				for _, ex := range msg.batch {
-					w.model.Update(ex.X, ex.Y)
-				}
+			for _, ex := range msg.batch {
+				w.model.Update(ex.X, ex.Y)
 			}
 		default:
-			if w.hw != nil {
-				w.hw.update(msg.x, msg.y)
-			} else {
-				w.model.Update(msg.x, msg.y)
-			}
+			w.model.Update(msg.x, msg.y)
 		}
 	}
 }
 
-func (w *shardWorker) snapshot() *shardSnapshot {
-	if w.hw != nil {
-		keys := w.hw.heap.Keys()
-		heavy := make([]stream.Weighted, len(keys))
-		for i, k := range keys {
-			heavy[i] = stream.Weighted{Index: k}
-		}
-		return &shardSnapshot{heavy: heavy, steps: w.hw.steps}
-	}
-	return &shardSnapshot{
-		folded: w.model.foldedSketch(),
-		heavy:  w.model.heavyWeights(),
-		steps:  w.model.Steps(),
-	}
+// snapshot is the worker's model state handed to the merger: a raw deep
+// copy with the active set written back, plus its decay scale.
+func (w *shardWorker) snapshot() Snapshot {
+	sn, _ := w.model.ModelSnapshot() // an AWM-Sketch snapshot cannot fail
+	return sn
 }
 
 // Update routes example (x, y) to a worker. It blocks only when the
@@ -371,13 +213,13 @@ func (s *Sharded) Sync() {
 	if s.closed.Load() {
 		return // final snapshot was installed by Close
 	}
-	replies := make([]chan *shardSnapshot, len(s.workers))
+	replies := make([]chan Snapshot, len(s.workers))
 	for i, w := range s.workers {
-		ch := make(chan *shardSnapshot, 1)
+		ch := make(chan Snapshot, 1)
 		replies[i] = ch
 		w.in <- shardMsg{snap: ch}
 	}
-	snaps := make([]*shardSnapshot, len(replies))
+	snaps := make([]Snapshot, len(replies))
 	for i, ch := range replies {
 		snaps[i] = <-ch
 	}
@@ -398,7 +240,7 @@ func (s *Sharded) Close() {
 		s.wg.Wait()
 		// Workers have exited; wg.Wait is the happens-before barrier that
 		// makes their private state safe to read directly.
-		snaps := make([]*shardSnapshot, len(s.workers))
+		snaps := make([]Snapshot, len(s.workers))
 		for i, w := range s.workers {
 			snaps[i] = w.snapshot()
 		}
@@ -423,46 +265,17 @@ func (s *Sharded) mixOptions() MixOptions {
 	return MixOptions{Depth: s.cfg.Depth, Width: s.cfg.Width, Seed: s.cfg.Seed, HeapSize: s.cfg.HeapSize}
 }
 
-// buildView merges shard snapshots into a read-only model. In Hogwild mode
-// the shared sketch is atomically cloned and the union of worker heap keys
-// is re-estimated against it. In private-shard mode the folded shard
-// sketches go through core.MixSnapshots — the same example-count-weighted
-// parameter mixing the cluster layer uses across machines — which also
-// gives every heavy-key candidate a mixed "exact" weight that Estimate and
-// TopK prefer over the (collision-noisier) merged-sketch query.
-func (s *Sharded) buildView(snaps []*shardSnapshot) *Mixed {
-	if s.hog != nil {
-		merged := s.hog.cs.AtomicClone()
-		seen := make(map[uint32]struct{})
-		var top []stream.Weighted
-		for _, sn := range snaps {
-			for _, hv := range sn.heavy {
-				if _, dup := seen[hv.Index]; dup {
-					continue
-				}
-				seen[hv.Index] = struct{}{}
-				top = append(top, stream.Weighted{Index: hv.Index, Weight: s.sqrtS * merged.Estimate(hv.Index)})
-			}
-		}
-		stream.SortWeighted(top)
-		if len(top) > s.cfg.HeapSize {
-			top = top[:s.cfg.HeapSize]
-		}
-		return &Mixed{cs: merged, sqrtS: s.sqrtS, top: top}
+// buildView merges shard snapshots through core.MixSnapshots — the same
+// example-count-weighted parameter mixing the cluster layer uses across
+// machines — which also gives every heavy-key candidate a mixed "exact"
+// weight that Predict, Estimate and TopK prefer over the (collision-noisier)
+// merged-sketch query.
+func (s *Sharded) buildView(snaps []Snapshot) *Mixed {
+	for i := range snaps {
+		// Zero-padded so the canonical Origin order equals worker order.
+		snaps[i].Origin = fmt.Sprintf("%06d", i)
 	}
-
-	in := make([]Snapshot, len(snaps))
-	for i, sn := range snaps {
-		in[i] = Snapshot{
-			// Zero-padded so the canonical Origin order equals worker order.
-			Origin: fmt.Sprintf("%06d", i),
-			CS:     sn.folded,
-			Scale:  1, // shard snapshots arrive scale-folded
-			Heavy:  sn.heavy,
-			Steps:  sn.steps,
-		}
-	}
-	v, err := MixSnapshots(in, s.mixOptions())
+	v, err := MixSnapshots(snaps, s.mixOptions())
 	if err != nil {
 		// Same shape and seed by construction; mixing cannot fail.
 		panic("core: shard merge: " + err.Error())
@@ -492,8 +305,8 @@ func (s *Sharded) TopK(k int) []stream.Weighted {
 func (s *Sharded) Steps() int64 { return s.pending.Load() }
 
 // MemoryBytes reports the aggregate cost-model footprint of the training
-// state: P private shards, or in Hogwild mode one shared sketch plus P
-// private heaps. The merged query snapshot is transient and not charged.
+// state: P private shards. The merged query snapshot is transient and not
+// charged.
 func (s *Sharded) MemoryBytes() int { return s.memBytes }
 
 var _ stream.Learner = (*Sharded)(nil)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"sync"
 	"testing"
 
@@ -14,53 +16,89 @@ import (
 // continues on other goroutines.
 
 func TestShardedCheckpointRoundTrip(t *testing.T) {
-	for _, variant := range []ShardVariant{ShardAWM, ShardWM} {
-		cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Lambda: 1e-5, Seed: 21}
-		s := NewSharded(cfg, ShardedOptions{Workers: 3, SyncEvery: -1, Variant: variant})
-		gen := datagen.RCV1Like(8)
-		data := gen.Take(3000)
-		for i := 0; i+64 <= len(data); i += 64 {
-			s.UpdateBatch(data[i : i+64])
-		}
+	cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Lambda: 1e-5, Seed: 21}
+	s := NewSharded(cfg, ShardedOptions{Workers: 3, SyncEvery: -1})
+	defer s.Close()
+	gen := datagen.RCV1Like(8)
+	data := gen.Take(3000)
+	for i := 0; i+64 <= len(data); i += 64 {
+		s.UpdateBatch(data[i : i+64])
+	}
 
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			t.Fatalf("variant %d: WriteTo: %v", variant, err)
-		}
-		s.Sync() // learner must still be live after a checkpoint
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	s.Sync() // learner must still be live after a checkpoint
 
-		got, err := LoadSharded(bytes.NewReader(buf.Bytes()), nil, nil, ShardedOptions{})
-		if err != nil {
-			t.Fatalf("variant %d: LoadSharded: %v", variant, err)
-		}
-		defer got.Close()
+	got, err := LoadSharded(bytes.NewReader(buf.Bytes()), nil, nil, ShardedOptions{})
+	if err != nil {
+		t.Fatalf("LoadSharded: %v", err)
+	}
+	defer got.Close()
 
-		if got.Steps() != s.Steps() {
-			t.Errorf("variant %d: steps %d != %d", variant, got.Steps(), s.Steps())
+	if got.Steps() != s.Steps() {
+		t.Errorf("steps %d != %d", got.Steps(), s.Steps())
+	}
+	for i := uint32(0); i < 2048; i++ {
+		if g, w := got.Estimate(i), s.Estimate(i); g != w {
+			t.Fatalf("Estimate(%d) = %v, want %v", i, g, w)
 		}
-		for i := uint32(0); i < 2048; i++ {
-			if g, w := got.Estimate(i), s.Estimate(i); g != w {
-				t.Fatalf("variant %d: Estimate(%d) = %v, want %v", variant, i, g, w)
-			}
+	}
+	probe := gen.Next().X
+	if g, w := got.Predict(probe), s.Predict(probe); g != w {
+		t.Fatalf("Predict = %v, want %v", g, w)
+	}
+	gotTop, wantTop := got.TopK(16), s.TopK(16)
+	if len(gotTop) != len(wantTop) {
+		t.Fatalf("TopK lengths %d vs %d", len(gotTop), len(wantTop))
+	}
+	for i := range wantTop {
+		if gotTop[i] != wantTop[i] {
+			t.Fatalf("TopK[%d] = %+v, want %+v", i, gotTop[i], wantTop[i])
 		}
-		probe := gen.Next().X
-		if g, w := got.Predict(probe), s.Predict(probe); g != w {
-			t.Fatalf("variant %d: Predict = %v, want %v", variant, g, w)
-		}
-		gotTop, wantTop := got.TopK(16), s.TopK(16)
-		if len(gotTop) != len(wantTop) {
-			t.Fatalf("variant %d: TopK lengths %d vs %d", variant, len(gotTop), len(wantTop))
-		}
-		for i := range wantTop {
-			if gotTop[i] != wantTop[i] {
-				t.Fatalf("variant %d: TopK[%d] = %+v, want %+v", variant, i, gotTop[i], wantTop[i])
-			}
-		}
+	}
 
-		// The restored learner must keep training.
-		got.Update(probe, 1)
-		got.Sync()
-		s.Close()
+	// The restored learner must keep training.
+	got.Update(probe, 1)
+	got.Sync()
+}
+
+// TestShardedCheckpointGolden pins the checkpoint format: testdata/
+// sharded_v1.ckpt was written by an earlier release (Workers 2, width 64,
+// depth 1, heap 8, λ=1e-5, seed 21, the first 500 RCV1Like(8) examples fed
+// one at a time through Update). It must load, re-serialize byte for byte,
+// and match a learner trained the same way today.
+func TestShardedCheckpointGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/sharded_v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSharded(bytes.NewReader(golden), nil, nil, ShardedOptions{})
+	if err != nil {
+		t.Fatalf("LoadSharded: %v", err)
+	}
+	defer got.Close()
+	var buf bytes.Buffer
+	if _, err := got.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("re-serialized checkpoint differs from the golden file (%d vs %d bytes)", buf.Len(), len(golden))
+	}
+
+	cfg := Config{Width: 64, Depth: 1, HeapSize: 8, Lambda: 1e-5, Seed: 21}
+	s := NewSharded(cfg, ShardedOptions{Workers: 2})
+	defer s.Close()
+	for _, ex := range datagen.RCV1Like(8).Take(500) {
+		s.Update(ex.X, ex.Y)
+	}
+	buf.Reset()
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatal("a freshly trained learner no longer writes the golden checkpoint")
 	}
 }
 
@@ -124,19 +162,6 @@ func TestShardedCheckpointConcurrentWithUpdates(t *testing.T) {
 	wg.Wait()
 }
 
-func TestShardedHogwildCheckpointUnsupported(t *testing.T) {
-	cfg := Config{Width: 128, Depth: 1, HeapSize: 16, Lambda: 0, Seed: 1}
-	s := NewSharded(cfg, ShardedOptions{Workers: 2, Hogwild: true, SyncEvery: -1})
-	defer s.Close()
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err == nil {
-		t.Error("hogwild checkpoint must error")
-	}
-	if _, err := LoadSharded(&buf, nil, nil, ShardedOptions{Hogwild: true}); err == nil {
-		t.Error("hogwild restore must error")
-	}
-}
-
 func TestLoadShardedRejectsCorruptHeader(t *testing.T) {
 	cfg := Config{Width: 64, Depth: 1, HeapSize: 8, Lambda: 0, Seed: 1}
 	s := NewSharded(cfg, ShardedOptions{Workers: 1, SyncEvery: -1})
@@ -147,15 +172,25 @@ func TestLoadShardedRejectsCorruptHeader(t *testing.T) {
 	s.Close()
 	blob := buf.Bytes()
 
-	// Implausible worker count (offset 12 = magic+version+variant).
-	bad := append([]byte(nil), blob...)
-	bad[12], bad[13], bad[14], bad[15] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := LoadSharded(bytes.NewReader(bad), nil, nil, ShardedOptions{}); err == nil {
-		t.Error("implausible worker count must be rejected")
+	// withWord overwrites the little-endian header word at off (magic=0,
+	// version=4, variant=8, workers=12).
+	withWord := func(off int, v uint32) []byte {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[off:], v)
+		return bad
 	}
-	// Truncated model payload.
-	if _, err := LoadSharded(bytes.NewReader(blob[:len(blob)-9]), nil, nil, ShardedOptions{}); err == nil {
-		t.Error("truncated shard payload must be rejected")
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"implausible worker count", withWord(12, 0x7fffffff)},
+		{"variant 1", withWord(8, 1)},
+		{"variant 0xFFFFFFFF", withWord(8, 0xFFFFFFFF)},
+		{"truncated shard payload", blob[:len(blob)-9]},
+	} {
+		if _, err := LoadSharded(bytes.NewReader(tc.blob), nil, nil, ShardedOptions{}); err == nil {
+			t.Errorf("%s: must be rejected", tc.name)
+		}
 	}
 }
 

@@ -47,101 +47,15 @@ func TestShardedSingleWorkerMatchesSequential(t *testing.T) {
 // must largely agree on which features are heavy.
 func TestShardedMatchesSequentialTopK(t *testing.T) {
 	cfg := Config{Width: 4096, Depth: 1, HeapSize: 256, Lambda: 1e-6, Seed: 3}
-	for _, opt := range []ShardedOptions{
-		{Workers: 4, SyncEvery: -1},
-		{Workers: 4, SyncEvery: -1, Variant: ShardWM},
-	} {
-		sh := NewSharded(cfg, opt)
-		var seq stream.Learner
-		if opt.Variant == ShardWM {
-			seq = NewWMSketch(cfg)
-		} else {
-			seq = NewAWMSketch(cfg)
-		}
-		gen := datagen.RCV1Like(3)
-		for i := 0; i < 40000; i++ {
-			ex := gen.Next()
-			sh.Update(ex.X, ex.Y)
-			seq.Update(ex.X, ex.Y)
-		}
-		sh.Close()
-
-		seqTop := seq.TopK(32)
-		inSh := map[uint32]bool{}
-		for _, e := range sh.TopK(64) {
-			inSh[e.Index] = true
-		}
-		overlap := 0
-		for _, e := range seqTop {
-			if inSh[e.Index] {
-				overlap++
-			}
-		}
-		if overlap < 20 {
-			t.Fatalf("variant=%v: only %d/32 sequential top features in sharded TopK(64)",
-				opt.Variant, overlap)
-		}
-		// Mixed estimates of the sequential model's heavy features must
-		// agree in sign and rough magnitude.
-		for _, e := range seqTop[:8] {
-			got := sh.Estimate(e.Index)
-			if got*e.Weight <= 0 {
-				t.Fatalf("variant=%v: Estimate(%d) = %v, sequential %v (sign flip)",
-					opt.Variant, e.Index, got, e.Weight)
-			}
-		}
-	}
-}
-
-// TestShardedHogwildSingleWorkerMatchesWMSketch: with a single worker the
-// Hogwild path is deterministic and its CAS arithmetic is exact, so it must
-// reproduce the sequential WM-Sketch (λ=0) bit for bit.
-func TestShardedHogwildSingleWorkerMatchesWMSketch(t *testing.T) {
-	cfg := Config{Width: 512, Depth: 2, HeapSize: 128, Lambda: 0, Seed: 9}
-	sh := NewSharded(cfg, ShardedOptions{Workers: 1, SyncEvery: -1, Hogwild: true})
-	seq := NewWMSketch(cfg)
-
-	gen := datagen.RCV1Like(9)
-	for i := 0; i < 3000; i++ {
+	sh := NewSharded(cfg, ShardedOptions{Workers: 4, SyncEvery: -1})
+	seq := NewAWMSketch(cfg)
+	gen := datagen.RCV1Like(3)
+	for i := 0; i < 40000; i++ {
 		ex := gen.Next()
 		sh.Update(ex.X, ex.Y)
 		seq.Update(ex.X, ex.Y)
 	}
 	sh.Close()
-
-	for i := uint32(0); i < 4096; i++ {
-		if got, want := sh.Estimate(i), seq.Estimate(i); got != want {
-			t.Fatalf("Estimate(%d) = %v, sequential WM %v", i, got, want)
-		}
-	}
-}
-
-// TestShardedHogwildConvergesMultiWorker: under real lock-free parallelism
-// the model is nondeterministic but must still learn: its top features
-// should largely agree with a sequential WM-Sketch trained on the same
-// stream.
-func TestShardedHogwildConvergesMultiWorker(t *testing.T) {
-	cfg := Config{Width: 4096, Depth: 1, HeapSize: 256, Lambda: 0, Seed: 5}
-	sh := NewSharded(cfg, ShardedOptions{Workers: 4, SyncEvery: -1, Hogwild: true})
-	seq := NewWMSketch(cfg)
-	gen := datagen.RCV1Like(5)
-	examples := gen.Take(40000)
-
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < len(examples); i += 4 {
-				sh.Update(examples[i].X, examples[i].Y)
-			}
-		}(p)
-	}
-	wg.Wait()
-	sh.Close()
-	for _, ex := range examples {
-		seq.Update(ex.X, ex.Y)
-	}
 
 	seqTop := seq.TopK(32)
 	inSh := map[uint32]bool{}
@@ -155,68 +69,98 @@ func TestShardedHogwildConvergesMultiWorker(t *testing.T) {
 		}
 	}
 	if overlap < 20 {
-		t.Fatalf("only %d/32 sequential top features in Hogwild TopK(64)", overlap)
+		t.Fatalf("only %d/32 sequential top features in sharded TopK(64)", overlap)
+	}
+	// Mixed estimates of the sequential model's heavy features must agree
+	// in sign and rough magnitude.
+	for _, e := range seqTop[:8] {
+		got := sh.Estimate(e.Index)
+		if got*e.Weight <= 0 {
+			t.Fatalf("Estimate(%d) = %v, sequential %v (sign flip)", e.Index, got, e.Weight)
+		}
+	}
+}
+
+// TestShardedPredictMatchesEstimate: the served margin must be the inner
+// product of x with the served weights, so Predict has to use the mixed
+// heavy weights wherever Estimate does. Depth 1 makes both exact sums.
+func TestShardedPredictMatchesEstimate(t *testing.T) {
+	cfg := Config{Width: 64, Depth: 1, HeapSize: 32, Seed: 3}
+	sh := NewSharded(cfg, ShardedOptions{Workers: 2, SyncEvery: -1})
+	defer sh.Close()
+	gen := datagen.RCV1Like(3)
+	for _, ex := range gen.Take(4000) {
+		sh.Update(ex.X, ex.Y)
+	}
+	sh.Sync()
+	differ := 0
+	for _, ex := range gen.Take(200) {
+		want := 0.0
+		for _, f := range ex.X {
+			want += f.Value * sh.Estimate(f.Index)
+		}
+		if sh.Predict(ex.X) != want {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("Predict differs from Σ x_i·Estimate(i) on %d/200 held-out examples", differ)
 	}
 }
 
 // TestShardedConcurrentUpdatesAndQueries hammers Update, Estimate, TopK,
 // Predict, and Sync from many goroutines; run under -race this is the
-// safety test for the whole sharded path (default and Hogwild).
+// safety test for the whole sharded path.
 func TestShardedConcurrentUpdatesAndQueries(t *testing.T) {
-	for _, hog := range []bool{false, true} {
-		cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Seed: 31}
-		if !hog {
-			cfg.Lambda = 1e-6
-		}
-		sh := NewSharded(cfg, ShardedOptions{Workers: 4, QueueSize: 64, SyncEvery: 500, Hogwild: hog})
-		gen := datagen.RCV1Like(31)
-		examples := gen.Take(2048)
+	cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Lambda: 1e-6, Seed: 31}
+	sh := NewSharded(cfg, ShardedOptions{Workers: 4, SyncEvery: 500})
+	gen := datagen.RCV1Like(31)
+	examples := gen.Take(2048)
 
-		var wg sync.WaitGroup
-		for p := 0; p < 4; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := p; i < len(examples); i += 4 {
-					sh.Update(examples[i].X, examples[i].Y)
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < len(examples); i += 4 {
+				sh.Update(examples[i].X, examples[i].Y)
+			}
+		}(p)
+	}
+	stop := make(chan struct{})
+	var qg sync.WaitGroup
+	for q := 0; q < 3; q++ {
+		qg.Add(1)
+		go func(q int) {
+			defer qg.Done()
+			var sink float64
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					_ = sink
+					return
+				default:
 				}
-			}(p)
-		}
-		stop := make(chan struct{})
-		var qg sync.WaitGroup
-		for q := 0; q < 3; q++ {
-			qg.Add(1)
-			go func(q int) {
-				defer qg.Done()
-				var sink float64
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						_ = sink
-						return
-					default:
-					}
-					switch i % 3 {
-					case 0:
-						sink += sh.Estimate(uint32(i % 4096))
-					case 1:
-						sink += float64(len(sh.TopK(16)))
-					case 2:
-						sink += sh.Predict(examples[i%len(examples)].X)
-					}
-					if i%100 == 0 {
-						sh.Sync()
-					}
+				switch i % 3 {
+				case 0:
+					sink += sh.Estimate(uint32(i % 4096))
+				case 1:
+					sink += float64(len(sh.TopK(16)))
+				case 2:
+					sink += sh.Predict(examples[i%len(examples)].X)
 				}
-			}(q)
-		}
-		wg.Wait()
-		close(stop)
-		qg.Wait()
-		sh.Close()
-		if got := sh.Steps(); got != int64(len(examples)) {
-			t.Fatalf("hogwild=%v: routed %d updates, want %d", hog, got, len(examples))
-		}
+				if i%100 == 0 {
+					sh.Sync()
+				}
+			}
+		}(q)
+	}
+	wg.Wait()
+	close(stop)
+	qg.Wait()
+	sh.Close()
+	if got := sh.Steps(); got != int64(len(examples)) {
+		t.Fatalf("routed %d updates, want %d", got, len(examples))
 	}
 }
 
@@ -230,16 +174,6 @@ func TestShardedUpdateAfterClosePanics(t *testing.T) {
 		}
 	}()
 	sh.Update(stream.OneHot(1), 1)
-}
-
-func TestShardedHogwildRejectsLambda(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Hogwild with Lambda > 0")
-		}
-	}()
-	NewSharded(Config{Width: 64, Depth: 1, HeapSize: 8, Lambda: 1e-6, Seed: 1},
-		ShardedOptions{Workers: 2, Hogwild: true})
 }
 
 // TestShardedIsDropInLearner checks interface conformance and that memory

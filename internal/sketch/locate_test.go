@@ -3,7 +3,6 @@ package sketch
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -47,70 +46,6 @@ func TestLocateMatchesHashedAccess(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAtomicMatchesPlain: the CAS-based accessors must be exact drop-ins
-// for the plain ones when used sequentially.
-func TestAtomicMatchesPlain(t *testing.T) {
-	for _, depth := range []int{1, 3} {
-		plain := NewCountSketch(depth, 64, 7)
-		atomicCS := NewCountSketch(depth, 64, 7)
-		rng := rand.New(rand.NewSource(1))
-		locs := make([]Loc, depth)
-		for i := 0; i < 400; i++ {
-			key := uint32(rng.Intn(500))
-			delta := rng.NormFloat64()
-			plain.Locate(key, locs)
-			plain.AddAt(locs, delta)
-			atomicCS.Locate(key, locs)
-			atomicCS.AtomicAddAt(locs, delta)
-		}
-		for i := uint32(0); i < 500; i++ {
-			plain.Locate(i, locs)
-			atomicCS.Locate(i, locs)
-			if got, want := atomicCS.AtomicSumAt(locs), plain.SumAt(locs); got != want {
-				t.Fatalf("depth %d: AtomicSumAt(%d) = %v, plain %v", depth, i, got, want)
-			}
-			if got, want := atomicCS.AtomicEstimateAt(locs), plain.EstimateAt(locs); got != want {
-				t.Fatalf("depth %d: AtomicEstimateAt(%d) = %v, plain %v", depth, i, got, want)
-			}
-		}
-		snap := atomicCS.AtomicClone()
-		for j := 0; j < depth; j++ {
-			sr, pr := snap.Row(j), plain.Row(j)
-			for b := range pr {
-				if sr[b] != pr[b] {
-					t.Fatalf("depth %d: AtomicClone bucket [%d][%d] = %v, want %v", depth, j, b, sr[b], pr[b])
-				}
-			}
-		}
-	}
-}
-
-// TestAtomicAddConcurrentLosesNothing: N goroutines CAS-adding to one key
-// must never lose an increment (the defining property vs plain racy adds,
-// which drop updates under contention).
-func TestAtomicAddConcurrentLosesNothing(t *testing.T) {
-	cs := NewCountSketch(2, 32, 3)
-	const workers = 8
-	const perWorker = 10000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			locs := make([]Loc, 2)
-			cs.Locate(0, locs)
-			for i := 0; i < perWorker; i++ {
-				cs.AtomicAddAt(locs, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	want := float64(workers * perWorker)
-	if got := cs.Estimate(0); got != want {
-		t.Fatalf("estimate %v after %v concurrent adds (lost updates)", got, want)
 	}
 }
 
@@ -203,15 +138,4 @@ func BenchmarkCountSketchLocateSumAdd(b *testing.B) {
 		cs.AddAt(locs, 0.5)
 	}
 	_ = sink
-}
-
-func BenchmarkCountSketchAtomicAdd(b *testing.B) {
-	cs := NewCountSketch(1, 4096, 1)
-	locs := make([]Loc, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Locate(uint32(i), locs)
-		cs.AtomicAddAt(locs, 0.5)
-	}
 }
