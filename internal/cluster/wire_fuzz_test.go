@@ -80,26 +80,32 @@ func newMemberF(f *testing.F, id string) *testMember {
 }
 
 // FuzzReadFrames: whatever bytes arrive, the decoder must return cleanly —
-// no panic, no unbounded allocation — and anything it does accept must
-// survive a re-encode/re-decode round trip (decoded state is well-formed,
-// not just non-crashing).
+// no panic, no unbounded allocation — and anything it does accept must be
+// a fixed point of the codec: re-encoding the decoded frames and decoding
+// them again must reproduce the re-encoded stream byte for byte, trace
+// annotation included (decoded state is well-formed and loses nothing the
+// encoder writes, not just non-crashing).
 func FuzzReadFrames(f *testing.F) {
 	fuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, err := ReadFrames(bytes.NewReader(data))
+		frames, sc, err := ReadFramesTraced(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if _, err := WriteFrames(&buf, frames); err != nil {
+		var once bytes.Buffer
+		if _, err := WriteFramesTraced(&once, sc, frames); err != nil {
 			t.Fatalf("accepted stream failed to re-encode: %v", err)
 		}
-		again, err := ReadFrames(bytes.NewReader(buf.Bytes()))
+		again, sc2, err := ReadFramesTraced(bytes.NewReader(once.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded stream failed to decode: %v", err)
 		}
-		if len(again) != len(frames) {
-			t.Fatalf("round trip changed frame count: %d -> %d", len(frames), len(again))
+		var twice bytes.Buffer
+		if _, err := WriteFramesTraced(&twice, sc2, again); err != nil {
+			t.Fatalf("round-tripped stream failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("encode(decode(x)) is not a fixed point: %d vs %d bytes", once.Len(), twice.Len())
 		}
 	})
 }
