@@ -15,16 +15,17 @@ import (
 // count is a remote allocation bomb; an unvalidated slice bound is a
 // panic.
 //
-// Sources: binary.ReadUvarint, binary.ReadVarint, binary.LittleEndian /
-// BigEndian .Uint16/32/64, and local helpers matching (?i)uvarint.
+// Sources: binary.ReadUvarint, binary.ReadVarint, binary.Uvarint,
+// binary.LittleEndian / BigEndian .Uint16/32/64, local helpers matching
+// (?i)uvarint, and Uvarint methods (codec.Reader.Uvarint).
 // Sanitizers: using the value in a relational comparison, or passing it
 // through a function whose name matches (?i)(cap|clamp|bound|limit|min|count)
-// — the project's readCount/upfrontCap helpers are the canonical form.
+// — internal/codec's Reader.Count and UpfrontCap are the canonical form.
 // Sinks: make sizes and slice-expression bounds.
 var DecodeBounds = &analysis.Analyzer{
 	Name: "decodebounds",
 	Doc: "flags make() sizes and slice bounds that flow from decoded wire integers " +
-		"without a preceding bound check: validate against a cap (readCount/upfrontCap) " +
+		"without a preceding bound check: validate against a cap (codec.Reader.Count/codec.UpfrontCap) " +
 		"before allocating or slicing.",
 	Run: runDecodeBounds,
 }
@@ -140,7 +141,7 @@ func checkDecodeFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 				for _, arg := range m.Args[1:] {
 					if obj, bad := hot(arg); bad {
 						pass.Reportf(m.Pos(),
-							"make sized by decoded value %s with no bound check before allocation — cap it first (readCount/upfrontCap)", obj.Name())
+							"make sized by decoded value %s with no bound check before allocation — cap it first (codec.Reader.Count/codec.UpfrontCap)", obj.Name())
 					}
 				}
 			}
@@ -181,6 +182,11 @@ func isDecodeSource(pass *analysis.Pass, e ast.Expr) bool {
 		}
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && sourceRe.MatchString(id.Name) {
+		return true
+	}
+	// binary.Uvarint and a payload cursor's Uvarint method
+	// (codec.Reader.Uvarint) yield a raw, unbounded uvarint too.
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Uvarint" {
 		return true
 	}
 	return false

@@ -77,3 +77,40 @@ func goodHelperBounded(r *bufio.Reader) ([]byte, error) {
 func goodStaticSize(k int) []byte {
 	return make([]byte, k)
 }
+
+// cursor stands in for a payload reader such as codec.Reader.
+type cursor struct{ b []byte }
+
+func (c *cursor) Uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.b)
+	if n <= 0 {
+		return 0, errors.New("bad uvarint")
+	}
+	return v, nil
+}
+
+func (c *cursor) Count(limit int) (int, error) {
+	v, err := c.Uvarint()
+	if err != nil || v > uint64(limit) {
+		return 0, errors.New("count out of range")
+	}
+	return int(v), nil
+}
+
+// A cursor's raw Uvarint is as attacker-controlled as binary.ReadUvarint.
+func badCursor(c *cursor) ([]float64, error) {
+	n, err := c.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return make([]float64, n), nil // want `make sized by decoded value n`
+}
+
+// Count bounds the value before it sizes anything.
+func goodCursorCount(c *cursor) ([]float64, error) {
+	n, err := c.Count(maxCount)
+	if err != nil {
+		return nil, err
+	}
+	return make([]float64, n), nil
+}

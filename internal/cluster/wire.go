@@ -16,9 +16,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
+	"wmsketch/internal/codec"
 	"wmsketch/internal/core"
 	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
@@ -82,9 +84,9 @@ const (
 	// 24-byte trace annotation, and the header CRC.
 	streamHeaderSize = 4 + 4 + 16 + 8 + 4
 	kindDigest       = byte(1)
-	kindFull     = byte(2)
-	kindDelta    = byte(3)
-	maxOriginLen = 256
+	kindFull         = byte(2)
+	kindDelta        = byte(3)
+	maxOriginLen     = 256
 	// maxFrameBytes bounds one frame's declared payload length.
 	maxFrameBytes = 1 << 28
 	// Per-kind count bounds, each matched to what the data can legitimately
@@ -95,19 +97,7 @@ const (
 	maxDigestEntries = 1 << 16
 	maxHeavyEntries  = 1 << 24
 	maxChangeEntries = 1 << 27
-	// maxUpfrontAlloc caps the capacity allocated from a wire-supplied
-	// count alone. Larger (still-bounded) counts grow by append as payload
-	// bytes actually arrive, so a tiny hostile frame claiming 2^27 entries
-	// cannot demand gigabytes before its (absent) payload fails to read.
-	maxUpfrontAlloc = 1 << 16
 )
-
-func upfrontCap(n int) int {
-	if n > maxUpfrontAlloc {
-		return maxUpfrontAlloc
-	}
-	return n
-}
 
 // Frame is one decoded wire frame.
 type Frame struct {
@@ -152,18 +142,6 @@ func scaleOr1(s float64) float64 {
 	return s
 }
 
-// countingWriter tracks bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // WriteFrames encodes the stream header and frames with no trace
 // annotation, returning the bytes written. Each frame's payload is
 // length-prefixed and trailed by its CRC32, so receivers can prove
@@ -175,10 +153,9 @@ func WriteFrames(w io.Writer, frames []Frame) (int64, error) {
 // WriteFramesTraced is WriteFrames with the sender's span identity stamped
 // into the stream header, linking this stream to the gossip round that
 // produced it. An invalid (zero) sc writes an untraced header of the same
-// size.
+// size. Each frame is assembled in a reused buffer and written with one
+// Write.
 func WriteFramesTraced(w io.Writer, sc trace.SpanContext, frames []Frame) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
 	var hdr [streamHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], wireVersion)
@@ -187,102 +164,88 @@ func WriteFramesTraced(w io.Writer, sc trace.SpanContext, frames []Frame) (int64
 		copy(hdr[24:32], sc.SpanID[:])
 	}
 	binary.LittleEndian.PutUint32(hdr[32:], crc32.ChecksumIEEE(hdr[:32]))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return cw.n, err
+	m, err := w.Write(hdr[:])
+	n := int64(m)
+	if err != nil {
+		return n, err
 	}
-	var scratch bytes.Buffer
+	var payload, frame []byte
 	for i := range frames {
-		scratch.Reset()
-		if err := writeFramePayload(&scratch, &frames[i]); err != nil {
-			return cw.n, fmt.Errorf("cluster: frame %d (%q): %w", i, frames[i].Origin, err)
+		f := &frames[i]
+		if payload, err = appendFramePayload(payload[:0], f); err != nil {
+			return n, fmt.Errorf("cluster: frame %d (%q): %w", i, f.Origin, err)
 		}
-		payload := scratch.Bytes()
 		if len(payload) > maxFrameBytes {
-			return cw.n, fmt.Errorf("cluster: frame %d (%q): payload %d exceeds %d bytes",
-				i, frames[i].Origin, len(payload), maxFrameBytes)
+			return n, fmt.Errorf("cluster: frame %d (%q): payload %d exceeds %d bytes",
+				i, f.Origin, len(payload), maxFrameBytes)
 		}
-		if err := bw.WriteByte(frames[i].Kind); err != nil {
-			return cw.n, err
+		frame = append(frame[:0], f.Kind)
+		frame = codec.AppendUvarint(frame, uint64(len(payload)))
+		frame = append(frame, payload...)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+		m, err := w.Write(frame)
+		n += int64(m)
+		if err != nil {
+			return n, err
 		}
-		writeUvarint(bw, uint64(len(payload)))
-		if _, err := bw.Write(payload); err != nil {
-			return cw.n, err
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(crc[:]); err != nil {
-			return cw.n, err
-		}
-		frames[i].WireBytes = frameWireSize(len(payload))
+		f.WireBytes = int64(len(frame))
 	}
-	err := bw.Flush()
-	return cw.n, err
+	return n, nil
 }
 
-// writeFramePayload encodes f's kind-specific fields into buf.
-func writeFramePayload(buf *bytes.Buffer, f *Frame) error {
-	bw := bufio.NewWriter(buf)
-	if err := writeFrameFields(bw, buf, f); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeFrameFields writes through bw; the kindFull arm flushes and hands
-// the sketch's own serializer the raw buffer, as it writes directly.
-func writeFrameFields(bw *bufio.Writer, raw *bytes.Buffer, f *Frame) error {
+// appendFramePayload appends f's kind-specific fields to dst.
+func appendFramePayload(dst []byte, f *Frame) ([]byte, error) {
 	switch f.Kind {
 	case kindDigest:
-		writeUvarint(bw, uint64(len(f.Digest)))
+		dst = codec.AppendUvarint(dst, uint64(len(f.Digest)))
 		// Deterministic order is not required on the wire (receivers build a
 		// map), but stable output helps tests and debugging.
-		for _, id := range sortedKeys(f.Digest) {
-			if err := writeString(bw, id); err != nil {
-				return err
+		for _, id := range slices.Sorted(maps.Keys(f.Digest)) {
+			var err error
+			if dst, err = appendOrigin(dst, id); err != nil {
+				return dst, err
 			}
-			writeUvarint(bw, uint64(f.Digest[id]))
+			dst = codec.AppendUvarint(dst, uint64(f.Digest[id]))
 		}
-		return nil
+		return dst, nil
 	case kindFull:
-		if err := writeString(bw, f.Origin); err != nil {
-			return err
+		dst, err := appendOrigin(dst, f.Origin)
+		if err != nil {
+			return dst, err
 		}
-		writeUvarint(bw, uint64(f.Version))
-		writeFloat(bw, scaleOr1(f.Scale))
-		if err := writeWeighted(bw, f.Heavy); err != nil {
-			return err
-		}
+		dst = codec.AppendUvarint(dst, uint64(f.Version))
+		dst = codec.AppendF64(dst, scaleOr1(f.Scale))
+		dst = appendWeighted(dst, f.Heavy)
 		// The sketch's own serialization carries shape, seed, and bucket
-		// validation; flush our buffer first since WriteTo writes directly.
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		_, err := f.CS.WriteTo(raw)
-		return err
+		// validation.
+		buf := bytes.NewBuffer(dst)
+		_, err = f.CS.WriteTo(buf)
+		return buf.Bytes(), err
 	case kindDelta:
-		if err := writeString(bw, f.Origin); err != nil {
-			return err
+		dst, err := appendOrigin(dst, f.Origin)
+		if err != nil {
+			return dst, err
 		}
-		writeUvarint(bw, uint64(f.Version))
-		writeUvarint(bw, uint64(f.Base))
-		writeFloat(bw, scaleOr1(f.Scale))
-		writeUvarint(bw, uint64(len(f.Changes)))
+		dst = codec.AppendUvarint(dst, uint64(f.Version))
+		dst = codec.AppendUvarint(dst, uint64(f.Base))
+		dst = codec.AppendF64(dst, scaleOr1(f.Scale))
+		dst = codec.AppendUvarint(dst, uint64(len(f.Changes)))
 		prev := uint32(0)
 		for i, ch := range f.Changes {
 			if i > 0 && ch.Index <= prev {
-				return fmt.Errorf("changes not strictly ascending at %d", i)
+				return dst, fmt.Errorf("changes not strictly ascending at %d", i)
 			}
-			writeUvarint(bw, uint64(ch.Index-prev))
-			writeFloat(bw, ch.Value)
+			dst = codec.AppendUvarint(dst, uint64(ch.Index-prev))
+			dst = codec.AppendF64(dst, ch.Value)
 			prev = ch.Index
 		}
-		writeUvarint(bw, uint64(len(f.HeavyRemoved)))
+		dst = codec.AppendUvarint(dst, uint64(len(f.HeavyRemoved)))
 		for _, k := range f.HeavyRemoved {
-			writeUvarint(bw, uint64(k))
+			dst = codec.AppendUvarint(dst, uint64(k))
 		}
-		return writeWeighted(bw, f.HeavyUpserts)
+		return appendWeighted(dst, f.HeavyUpserts), nil
 	default:
-		return fmt.Errorf("unknown frame kind %d", f.Kind)
+		return dst, fmt.Errorf("unknown frame kind %d", f.Kind)
 	}
 }
 
@@ -319,6 +282,7 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 	copy(sc.TraceID[:], hdr[8:24])
 	copy(sc.SpanID[:], hdr[24:32])
 	var frames []Frame
+	var payload []byte // reused: decoded frames never alias it
 	for {
 		kind, err := br.ReadByte()
 		if err == io.EOF {
@@ -330,11 +294,19 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 		if kind != kindDigest && kind != kindFull && kind != kindDelta {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: unknown frame kind %d", len(frames), kind)
 		}
-		payload, err := readPayload(br)
-		if err != nil {
-			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
+		n, err := binary.ReadUvarint(br)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("payload length: %w", err)
+		case n > maxFrameBytes:
+			err = fmt.Errorf("payload length %d exceeds limit %d", n, maxFrameBytes)
+		default:
+			payload, err = codec.ReadPayload(br, payload, int(n), 0)
 		}
-		f, err := decodeFramePayload(kind, payload)
+		var f Frame
+		if err == nil {
+			f, err = decodeFrame(kind, payload)
+		}
 		if err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
 		}
@@ -343,158 +315,156 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 	}
 }
 
-// readPayload reads one frame's length-prefixed payload and verifies its
-// CRC. The declared length is bounded, and allocation grows by bounded
-// chunks as bytes actually arrive, so a tiny hostile frame claiming a huge
-// payload cannot demand the memory up front.
-func readPayload(br *bufio.Reader) ([]byte, error) {
-	n, err := readCount(br, maxFrameBytes)
-	if err != nil {
-		return nil, fmt.Errorf("payload length: %w", err)
-	}
-	payload := make([]byte, 0, upfrontCap(n))
-	for len(payload) < n {
-		chunk := n - len(payload)
-		if chunk > maxUpfrontAlloc {
-			chunk = maxUpfrontAlloc
+// decodeFrame decodes one CRC-verified payload and requires it to be
+// consumed exactly — trailing bytes mark a malformed frame.
+func decodeFrame(kind byte, payload []byte) (Frame, error) {
+	rd := codec.NewReader(payload)
+	f := Frame{Kind: kind}
+	var err error
+	switch kind {
+	case kindDigest:
+		f.Digest, err = readDigest(rd)
+	case kindFull:
+		if err = readHead(rd, &f); err != nil {
+			return f, err
 		}
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
-		if _, err := io.ReadFull(br, payload[start:]); err != nil {
-			return nil, fmt.Errorf("truncated payload: %w", err)
+		if f.Heavy, err = readList(rd, maxHeavyEntries, readWeighted); err != nil {
+			return f, err
 		}
+		f.CS, err = readSketch(rd)
+	case kindDelta:
+		if err = readHead(rd, &f); err != nil {
+			return f, err
+		}
+		if f.Changes, err = readChanges(rd); err != nil {
+			return f, err
+		}
+		if f.HeavyRemoved, err = readList(rd, maxHeavyEntries, (*codec.Reader).U32); err != nil {
+			return f, err
+		}
+		f.HeavyUpserts, err = readList(rd, maxHeavyEntries, readWeighted)
+	default:
+		err = fmt.Errorf("unknown frame kind %d", kind)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, fmt.Errorf("truncated checksum: %w", err)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-		return nil, fmt.Errorf("checksum mismatch (payload %#x, trailer %#x)", got, want)
-	}
-	return payload, nil
-}
-
-// decodeFramePayload decodes one CRC-verified payload and requires it to
-// be fully consumed — trailing bytes mark a malformed frame.
-func decodeFramePayload(kind byte, payload []byte) (Frame, error) {
-	pr := bytes.NewReader(payload)
-	br := bufio.NewReader(pr)
-	f, err := readFrame(br, kind)
 	if err != nil {
 		return f, err
 	}
-	if br.Buffered() > 0 || pr.Len() > 0 {
-		return f, fmt.Errorf("%d trailing bytes after payload", br.Buffered()+pr.Len())
-	}
-	return f, nil
+	return f, rd.Done()
 }
 
-func readFrame(br *bufio.Reader, kind byte) (Frame, error) {
-	f := Frame{Kind: kind}
-	switch kind {
-	case kindDigest:
-		n, err := readCount(br, maxDigestEntries)
+func readDigest(rd *codec.Reader) (map[string]int64, error) {
+	n, err := rd.Count(maxDigestEntries)
+	if err != nil {
+		return nil, err
+	}
+	d := make(map[string]int64, codec.UpfrontCap(n))
+	for range n {
+		id, err := readOrigin(rd)
 		if err != nil {
-			return f, err
+			return nil, err
 		}
-		f.Digest = make(map[string]int64, upfrontCap(n))
-		for i := 0; i < n; i++ {
-			id, err := readString(br)
-			if err != nil {
-				return f, err
-			}
-			v, err := readUvarint(br)
-			if err != nil {
-				return f, err
-			}
-			f.Digest[id] = int64(v)
-		}
-		return f, nil
-	case kindFull:
-		var err error
-		if f.Origin, err = readString(br); err != nil {
-			return f, err
-		}
-		v, err := readUvarint(br)
+		v, err := rd.Uvarint()
 		if err != nil {
-			return f, err
+			return nil, err
 		}
-		f.Version = int64(v)
-		if f.Scale, err = readScale(br); err != nil {
-			return f, err
-		}
-		if f.Heavy, err = readWeighted(br); err != nil {
-			return f, err
-		}
-		if f.CS, err = sketch.ReadCountSketch(br); err != nil {
-			return f, err
-		}
-		return f, nil
-	case kindDelta:
-		var err error
-		if f.Origin, err = readString(br); err != nil {
-			return f, err
-		}
-		v, err := readUvarint(br)
+		d[id] = int64(v)
+	}
+	return d, nil
+}
+
+// readHead decodes the fields that open full and delta payloads: origin,
+// version, the delta's base, and the model scale. Real learners keep the
+// scale in (0, 1] via renormalization, so a non-positive one marks a
+// corrupt or hostile frame (F64 already rejects non-finite values).
+func readHead(rd *codec.Reader, f *Frame) error {
+	var err error
+	if f.Origin, err = readOrigin(rd); err != nil {
+		return err
+	}
+	v, err := rd.Uvarint()
+	if err != nil {
+		return err
+	}
+	f.Version = int64(v)
+	if f.Kind == kindDelta {
+		b, err := rd.Uvarint()
 		if err != nil {
-			return f, err
-		}
-		f.Version = int64(v)
-		b, err := readUvarint(br)
-		if err != nil {
-			return f, err
+			return err
 		}
 		f.Base = int64(b)
-		if f.Scale, err = readScale(br); err != nil {
-			return f, err
-		}
-		n, err := readCount(br, maxChangeEntries)
-		if err != nil {
-			return f, err
-		}
-		f.Changes = make([]sketch.BucketChange, 0, upfrontCap(n))
-		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			gap, err := readUvarint(br)
-			if err != nil {
-				return f, err
-			}
-			idx := prev + gap
-			if i > 0 && gap == 0 {
-				return f, fmt.Errorf("non-ascending change index at %d", i)
-			}
-			if idx > math.MaxUint32 {
-				return f, fmt.Errorf("change index %d overflows", idx)
-			}
-			val, err := readFloat(br)
-			if err != nil {
-				return f, err
-			}
-			f.Changes = append(f.Changes, sketch.BucketChange{Index: uint32(idx), Value: val})
-			prev = idx
-		}
-		nr, err := readCount(br, maxHeavyEntries)
-		if err != nil {
-			return f, err
-		}
-		f.HeavyRemoved = make([]uint32, 0, upfrontCap(nr))
-		for i := 0; i < nr; i++ {
-			k, err := readUvarint(br)
-			if err != nil {
-				return f, err
-			}
-			if k > math.MaxUint32 {
-				return f, fmt.Errorf("removed key %d overflows", k)
-			}
-			f.HeavyRemoved = append(f.HeavyRemoved, uint32(k))
-		}
-		if f.HeavyUpserts, err = readWeighted(br); err != nil {
-			return f, err
-		}
-		return f, nil
-	default:
-		return f, fmt.Errorf("unknown frame kind %d", kind)
 	}
+	if f.Scale, err = rd.F64(); err != nil {
+		return err
+	}
+	if f.Scale <= 0 {
+		return fmt.Errorf("corrupt model scale %g", f.Scale)
+	}
+	return nil
+}
+
+// readSketch decodes the sketch's own (hardened) serialization from the
+// rest of the payload. ReadCountSketch reads through a bufio.Reader, which
+// may read ahead: the bytes it consumed are those neither the bufio.Reader
+// nor the bytes.Reader still holds, and whatever follows stays in rd for
+// Done to reject.
+func readSketch(rd *codec.Reader) (*sketch.CountSketch, error) {
+	rest := rd.Rest()
+	pr := bytes.NewReader(rest)
+	br := bufio.NewReader(pr)
+	cs, err := sketch.ReadCountSketch(br)
+	if err != nil {
+		return nil, err
+	}
+	rd.Skip(len(rest) - pr.Len() - br.Buffered())
+	return cs, nil
+}
+
+// readChanges decodes a delta's gap-encoded, strictly ascending bucket
+// changes.
+func readChanges(rd *codec.Reader) ([]sketch.BucketChange, error) {
+	n, err := rd.Count(maxChangeEntries)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]sketch.BucketChange, 0, codec.UpfrontCap(n))
+	prev := uint64(0)
+	for i := range n {
+		gap, err := rd.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && gap == 0 {
+			return nil, fmt.Errorf("non-ascending change index at %d", i)
+		}
+		// Compared before adding, so a huge gap cannot wrap past zero.
+		if gap > math.MaxUint32-prev {
+			return nil, fmt.Errorf("change index %d+%d overflows", prev, gap)
+		}
+		val, err := rd.F64()
+		if err != nil {
+			return nil, err
+		}
+		prev += gap
+		out = append(out, sketch.BucketChange{Index: uint32(prev), Value: val})
+	}
+	return out, nil
+}
+
+// readList decodes a count bounded by limit, then that many elements.
+func readList[T any](rd *codec.Reader, limit int, elem func(*codec.Reader) (T, error)) ([]T, error) {
+	n, err := rd.Count(limit)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, 0, codec.UpfrontCap(n))
+	for range n {
+		v, err := elem(rd)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // frameWireSize is the encoded size of a frame with the given payload
@@ -504,127 +474,40 @@ func frameWireSize(payloadLen int) int64 {
 	return int64(1 + binary.PutUvarint(buf[:], uint64(payloadLen)) + payloadLen + 4)
 }
 
-// ---- primitive encoders ----
-
-func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, _ = bw.Write(buf[:n])
-}
-
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(br)
-}
-
-func readCount(br *bufio.Reader, limit int) (int, error) {
-	v, err := readUvarint(br)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(limit) {
-		return 0, fmt.Errorf("count %d exceeds limit %d", v, limit)
-	}
-	return int(v), nil
-}
-
-func writeString(bw *bufio.Writer, s string) error {
+func appendOrigin(dst []byte, s string) ([]byte, error) {
 	if len(s) == 0 || len(s) > maxOriginLen {
-		return fmt.Errorf("origin length %d out of range [1,%d]", len(s), maxOriginLen)
+		return dst, fmt.Errorf("origin length %d out of range [1,%d]", len(s), maxOriginLen)
 	}
-	writeUvarint(bw, uint64(len(s)))
-	_, err := bw.WriteString(s)
-	return err
+	return append(codec.AppendUvarint(dst, uint64(len(s))), s...), nil
 }
 
-func readString(br *bufio.Reader) (string, error) {
-	n, err := readCount(br, maxOriginLen)
+func readOrigin(rd *codec.Reader) (string, error) {
+	n, err := rd.Count(maxOriginLen)
 	if err != nil {
 		return "", err
 	}
 	if n == 0 {
 		return "", fmt.Errorf("empty origin")
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	b, err := rd.Bytes(n)
+	return string(b), err
 }
 
-func writeFloat(bw *bufio.Writer, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	_, _ = bw.Write(b[:])
-}
-
-// readFloat decodes one float64 and rejects NaN/±Inf centrally: no frame
-// field — weight, scale, or delta value — legitimately carries a
-// non-finite float, and a NaN smuggled past here would poison sketch state
-// while comparing false against every later bound.
-func readFloat(br *bufio.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(br, b[:]); err != nil {
-		return 0, err
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("non-finite float on the wire (%g)", v)
-	}
-	return v, nil
-}
-
-// readScale reads and validates a model scale: real learners keep it in
-// (0, 1] via renormalization, so anything non-positive marks a corrupt or
-// hostile frame (readFloat already rejects non-finite values).
-func readScale(br *bufio.Reader) (float64, error) {
-	s, err := readFloat(br)
-	if err != nil {
-		return 0, err
-	}
-	if s <= 0 {
-		return 0, fmt.Errorf("corrupt model scale %g", s)
-	}
-	return s, nil
-}
-
-func writeWeighted(bw *bufio.Writer, ws []stream.Weighted) error {
-	writeUvarint(bw, uint64(len(ws)))
+func appendWeighted(dst []byte, ws []stream.Weighted) []byte {
+	dst = codec.AppendUvarint(dst, uint64(len(ws)))
 	for _, w := range ws {
-		writeUvarint(bw, uint64(w.Index))
-		writeFloat(bw, w.Weight)
+		dst = codec.AppendUvarint(dst, uint64(w.Index))
+		dst = codec.AppendF64(dst, w.Weight)
 	}
-	return nil
+	return dst
 }
 
-func readWeighted(br *bufio.Reader) ([]stream.Weighted, error) {
-	n, err := readCount(br, maxHeavyEntries)
+// readWeighted decodes one heavy-list entry.
+func readWeighted(rd *codec.Reader) (stream.Weighted, error) {
+	k, err := rd.U32()
 	if err != nil {
-		return nil, err
+		return stream.Weighted{}, err
 	}
-	out := make([]stream.Weighted, 0, upfrontCap(n))
-	for i := 0; i < n; i++ {
-		k, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if k > math.MaxUint32 {
-			return nil, fmt.Errorf("weighted key %d overflows", k)
-		}
-		// readFloat rejects non-finite weights at the decode layer.
-		w, err := readFloat(br)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, stream.Weighted{Index: uint32(k), Weight: w})
-	}
-	return out, nil
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	w, err := rd.F64()
+	return stream.Weighted{Index: k, Weight: w}, err
 }

@@ -42,10 +42,15 @@ func payloadOf(t *testing.T, f Frame) []byte {
 	return append([]byte(nil), frame[k:k+int(n)]...)
 }
 
+// change is one gap-encoded bucket change of a hand-built delta.
+type change struct {
+	gap uint64
+	val float64
+}
+
 // deltaPayload hand-encodes a delta frame for origin "x" at version 5 on
-// base 4 with the given scale and (gap, value) change pairs, and empty
-// heavy-list diffs.
-func deltaPayload(scale float64, changes ...[2]float64) []byte {
+// base 4 with the given scale and changes, and empty heavy-list diffs.
+func deltaPayload(scale float64, changes ...change) []byte {
 	p := binary.AppendUvarint(nil, 1)
 	p = append(p, 'x')
 	p = binary.AppendUvarint(p, 5)
@@ -53,8 +58,8 @@ func deltaPayload(scale float64, changes ...[2]float64) []byte {
 	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(scale))
 	p = binary.AppendUvarint(p, uint64(len(changes)))
 	for _, ch := range changes {
-		p = binary.AppendUvarint(p, uint64(ch[0]))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(ch[1]))
+		p = binary.AppendUvarint(p, ch.gap)
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(ch.val))
 	}
 	p = binary.AppendUvarint(p, 0) // removed heavy keys
 	return binary.AppendUvarint(p, 0)
@@ -83,7 +88,7 @@ func TestReadFramesRejectsHostilePayloads(t *testing.T) {
 		want   string // substring of the error; "" = must be accepted
 	}{
 		{"control full", rawStream(kindFull, full), ""},
-		{"control delta", rawStream(kindDelta, deltaPayload(0.5, [2]float64{3, 1}, [2]float64{2, -1})), ""},
+		{"control delta", rawStream(kindDelta, deltaPayload(0.5, change{3, 1}, change{2, -1})), ""},
 		{"control digest", rawStream(kindDigest, digest(1, "a")), ""},
 		{"trailing byte after sketch", rawStream(kindFull, append(append([]byte(nil), full...), 0)), "trailing bytes"},
 		{"truncated sketch", rawStream(kindFull, full[:len(full)-8]), "truncated"},
@@ -91,8 +96,8 @@ func TestReadFramesRejectsHostilePayloads(t *testing.T) {
 		{"zero scale", rawStream(kindDelta, deltaPayload(0)), "scale"},
 		{"empty digest origin", rawStream(kindDigest, digest(1, "")), "empty origin"},
 		{"digest count over limit", rawStream(kindDigest, digest(maxDigestEntries+1, "a")), "exceeds limit"},
-		{"zero change gap", rawStream(kindDelta, deltaPayload(1, [2]float64{3, 1}, [2]float64{0, 2})), "non-ascending"},
-		{"change index over MaxUint32", rawStream(kindDelta, deltaPayload(1, [2]float64{math.MaxUint32 + 1, 1})), "overflows"},
+		{"zero change gap", rawStream(kindDelta, deltaPayload(1, change{3, 1}, change{0, 2})), "non-ascending"},
+		{"change index over MaxUint32", rawStream(kindDelta, deltaPayload(1, change{math.MaxUint32 + 1, 1})), "overflows"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,6 +113,16 @@ func TestReadFramesRejectsHostilePayloads(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestReadFramesRejectsWrappingChangeGap: a change gap so large that
+// prev+gap wraps uint64 back below prev must not slip past the
+// ascending-order check as a small index.
+func TestReadFramesRejectsWrappingChangeGap(t *testing.T) {
+	stream := rawStream(kindDelta, deltaPayload(1, change{3, 1}, change{math.MaxUint64 - 1, 2}))
+	if _, err := ReadFrames(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("wrapping change gap: got %v, want an overflow rejection", err)
 	}
 }
 
@@ -172,8 +187,7 @@ func BenchmarkWriteFrames(b *testing.B) {
 		}
 		b.SetBytes(n)
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			buf.Reset()
 			if _, err := WriteFrames(&buf, frames); err != nil {
 				b.Fatal(err)
@@ -193,8 +207,7 @@ func BenchmarkReadFrames(b *testing.B) {
 		stream := buf.Bytes()
 		b.SetBytes(int64(len(stream)))
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := ReadFrames(bytes.NewReader(stream)); err != nil {
 				b.Fatal(err)
 			}

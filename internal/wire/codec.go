@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"wmsketch/internal/codec"
 	"wmsketch/internal/stream"
 )
 
@@ -30,100 +31,17 @@ import (
 // contract the JSON path enforces in toVector. Encoders are append-style
 // so callers can pool the destination buffers.
 
-// reader is a bounds-checked cursor over one frame payload.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) u8() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, fmt.Errorf("truncated payload")
-	}
-	b := r.b[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad uvarint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads a uvarint and bounds it — the decode-bounds sanitizer every
-// allocation-sizing count must pass through.
-func (r *reader) count(limit int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(limit) {
-		return 0, fmt.Errorf("count %d exceeds limit %d", v, limit)
-	}
-	return int(v), nil
-}
-
-// f64 decodes one float64 and rejects NaN/±Inf centrally: no payload field
-// legitimately carries a non-finite value, and one smuggled past here
-// would poison model state while comparing false against every bound.
-func (r *reader) f64() (float64, error) {
-	if r.remaining() < 8 {
-		return 0, fmt.Errorf("truncated float")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("non-finite value on the wire (%g)", v)
-	}
-	return v, nil
-}
-
-func (r *reader) index() (uint32, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("feature index %d overflows uint32", v)
-	}
-	return uint32(v), nil
-}
-
-// done requires the payload to be fully consumed.
-func (r *reader) done() error {
-	if n := r.remaining(); n > 0 {
-		return fmt.Errorf("%d trailing bytes after payload", n)
-	}
-	return nil
-}
-
-// ---- append-style encoders ----
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func appendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
 func appendVector(dst []byte, x stream.Vector) ([]byte, error) {
 	if len(x) > MaxVectorNNZ {
 		return dst, fmt.Errorf("wire: vector has %d features, limit %d", len(x), MaxVectorNNZ)
 	}
-	dst = appendUvarint(dst, uint64(len(x)))
+	dst = codec.AppendUvarint(dst, uint64(len(x)))
 	for _, f := range x {
 		if math.IsNaN(f.Value) || math.IsInf(f.Value, 0) {
 			return dst, fmt.Errorf("wire: feature %d has non-finite value", f.Index)
 		}
-		dst = appendUvarint(dst, uint64(f.Index))
-		dst = appendF64(dst, f.Value)
+		dst = codec.AppendUvarint(dst, uint64(f.Index))
+		dst = codec.AppendF64(dst, f.Value)
 	}
 	return dst, nil
 }
@@ -138,7 +56,7 @@ func AppendUpdateRequest(dst []byte, batch []stream.Example) ([]byte, error) {
 	if len(batch) > MaxBatchExamples {
 		return dst, fmt.Errorf("wire: batch has %d examples, limit %d", len(batch), MaxBatchExamples)
 	}
-	dst = appendUvarint(dst, uint64(len(batch)))
+	dst = codec.AppendUvarint(dst, uint64(len(batch)))
 	for i := range batch {
 		switch batch[i].Y {
 		case 1:
@@ -162,23 +80,23 @@ func AppendUpdateRequest(dst []byte, batch []stream.Example) ([]byte, error) {
 // nnzScratch is transient per-example bookkeeping the caller may pool, and
 // the possibly-grown scratch is returned for reuse.
 func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []int, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxBatchExamples)
+	rd := codec.NewReader(payload)
+	n, err := rd.Count(MaxBatchExamples)
 	if err != nil {
 		return nil, nnzScratch, fmt.Errorf("batch count: %w", err)
 	}
 	if n == 0 {
 		return nil, nnzScratch, fmt.Errorf("no examples")
 	}
-	batch := make([]stream.Example, 0, upfrontCap(n))
+	batch := make([]stream.Example, 0, codec.UpfrontCap(n))
 	nnz := nnzScratch[:0]
 	// Features decode into one flat backing array, subsliced per example
 	// afterwards: one allocation per frame instead of one per example. The
 	// capacity bound is exact-by-construction — every encoded feature costs
 	// at least 9 payload bytes, and those bytes have already arrived.
-	feats := make([]stream.Feature, 0, rd.remaining()/9)
+	feats := make([]stream.Feature, 0, len(rd.Rest())/9)
 	for i := 0; i < n; i++ {
-		lb, err := rd.u8()
+		lb, err := rd.U8()
 		if err != nil {
 			return nil, nnz, fmt.Errorf("example %d: %w", i, err)
 		}
@@ -191,15 +109,16 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 		default:
 			return nil, nnz, fmt.Errorf("example %d: label must be +1 or -1, got byte %#x", i, lb)
 		}
-		m, err := rd.count(MaxVectorNNZ)
+		m, err := rd.Count(MaxVectorNNZ)
 		if err != nil {
 			return nil, nnz, fmt.Errorf("example %d: nnz: %w", i, err)
 		}
 		// Per-feature parsing is the hot loop of the hot endpoint; it runs
 		// open-coded on a local cursor (single-byte uvarint fast path, one
-		// bounds check per float) instead of through the reader helpers.
+		// bounds check per float) over rd.Rest() instead of through the
+		// codec.Reader methods, then reports what it consumed with Skip.
 		// The contract is unchanged: indices fit uint32, values are finite.
-		b, off := rd.b, rd.off
+		b, off := rd.Rest(), 0
 		for j := 0; j < m; j++ {
 			var idx uint64
 			if off < len(b) && b[off] < 0x80 {
@@ -208,7 +127,7 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 			} else {
 				v, k := binary.Uvarint(b[off:])
 				if k <= 0 {
-					return nil, nnz, fmt.Errorf("example %d feature %d: bad uvarint at offset %d", i, j, off)
+					return nil, nnz, fmt.Errorf("example %d feature %d: bad uvarint", i, j)
 				}
 				if v > math.MaxUint32 {
 					return nil, nnz, fmt.Errorf("example %d feature %d: feature index %d overflows uint32", i, j, v)
@@ -226,11 +145,11 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 			}
 			feats = append(feats, stream.Feature{Index: uint32(idx), Value: v})
 		}
-		rd.off = off
+		rd.Skip(off)
 		batch = append(batch, stream.Example{Y: y})
 		nnz = append(nnz, m)
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return nil, nnz, err
 	}
 	off := 0
@@ -244,25 +163,25 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 // AppendUpdateResponse encodes an update result (applied count, step
 // counter after the batch).
 func AppendUpdateResponse(dst []byte, applied int, steps int64) []byte {
-	dst = appendUvarint(dst, uint64(applied))
-	return appendUvarint(dst, uint64(steps))
+	dst = codec.AppendUvarint(dst, uint64(applied))
+	return codec.AppendUvarint(dst, uint64(steps))
 }
 
 // DecodeUpdateResponse decodes an update result.
 func DecodeUpdateResponse(payload []byte) (applied int, steps int64, err error) {
-	rd := &reader{b: payload}
-	a, err := rd.count(MaxBatchExamples)
+	rd := codec.NewReader(payload)
+	a, err := rd.Count(MaxBatchExamples)
 	if err != nil {
 		return 0, 0, fmt.Errorf("applied: %w", err)
 	}
-	s, err := rd.uvarint()
+	s, err := rd.Uvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("steps: %w", err)
 	}
 	if s > math.MaxInt64 {
 		return 0, 0, fmt.Errorf("steps %d overflows int64", s)
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return 0, 0, err
 	}
 	return a, int64(s), nil
@@ -277,27 +196,24 @@ func AppendPredictRequest(dst []byte, x stream.Vector) ([]byte, error) {
 // (predict is synchronous — the backend does not retain the vector, so the
 // caller may pool it).
 func DecodePredictRequest(payload []byte, scratch stream.Vector) (stream.Vector, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxVectorNNZ)
+	rd := codec.NewReader(payload)
+	n, err := rd.Count(MaxVectorNNZ)
 	if err != nil {
 		return scratch[:0], fmt.Errorf("nnz: %w", err)
 	}
-	x := scratch[:0]
-	if cap(x) < upfrontCap(n) {
-		x = make(stream.Vector, 0, upfrontCap(n))
-	}
+	x := codec.Reuse(scratch, n)
 	for j := 0; j < n; j++ {
-		idx, err := rd.index()
+		idx, err := rd.U32()
 		if err != nil {
 			return x[:0], fmt.Errorf("feature %d: %w", j, err)
 		}
-		v, err := rd.f64()
+		v, err := rd.F64()
 		if err != nil {
 			return x[:0], fmt.Errorf("feature %d: %w", j, err)
 		}
 		x = append(x, stream.Feature{Index: idx, Value: v})
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return x[:0], err
 	}
 	return x, nil
@@ -305,7 +221,7 @@ func DecodePredictRequest(payload []byte, scratch stream.Vector) (stream.Vector,
 
 // AppendPredictResponse encodes a margin and its sign label.
 func AppendPredictResponse(dst []byte, margin float64, label int) []byte {
-	dst = appendF64(dst, margin)
+	dst = codec.AppendF64(dst, margin)
 	if label > 0 {
 		return append(dst, 0x01)
 	}
@@ -314,11 +230,11 @@ func AppendPredictResponse(dst []byte, margin float64, label int) []byte {
 
 // DecodePredictResponse decodes a predict result.
 func DecodePredictResponse(payload []byte) (margin float64, label int, err error) {
-	rd := &reader{b: payload}
-	if margin, err = rd.f64(); err != nil {
+	rd := codec.NewReader(payload)
+	if margin, err = rd.F64(); err != nil {
 		return 0, 0, fmt.Errorf("margin: %w", err)
 	}
-	lb, err := rd.u8()
+	lb, err := rd.U8()
 	if err != nil {
 		return 0, 0, fmt.Errorf("label: %w", err)
 	}
@@ -330,7 +246,7 @@ func DecodePredictResponse(payload []byte) (margin float64, label int, err error
 	default:
 		return 0, 0, fmt.Errorf("label byte %#x", lb)
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return 0, 0, err
 	}
 	return margin, label, nil
@@ -344,9 +260,9 @@ func AppendEstimateRequest(dst []byte, indices []uint32) ([]byte, error) {
 	if len(indices) > MaxEstimateIndices {
 		return dst, fmt.Errorf("wire: %d indices, limit %d", len(indices), MaxEstimateIndices)
 	}
-	dst = appendUvarint(dst, uint64(len(indices)))
+	dst = codec.AppendUvarint(dst, uint64(len(indices)))
 	for _, i := range indices {
-		dst = appendUvarint(dst, uint64(i))
+		dst = codec.AppendUvarint(dst, uint64(i))
 	}
 	return dst, nil
 }
@@ -354,26 +270,23 @@ func AppendEstimateRequest(dst []byte, indices []uint32) ([]byte, error) {
 // DecodeEstimateRequest decodes an index batch into scratch's capacity
 // (estimate is synchronous; the caller may pool the slice).
 func DecodeEstimateRequest(payload []byte, scratch []uint32) ([]uint32, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxEstimateIndices)
+	rd := codec.NewReader(payload)
+	n, err := rd.Count(MaxEstimateIndices)
 	if err != nil {
 		return scratch[:0], fmt.Errorf("index count: %w", err)
 	}
 	if n == 0 {
 		return scratch[:0], fmt.Errorf("no indices")
 	}
-	out := scratch[:0]
-	if cap(out) < upfrontCap(n) {
-		out = make([]uint32, 0, upfrontCap(n))
-	}
+	out := codec.Reuse(scratch, n)
 	for j := 0; j < n; j++ {
-		idx, err := rd.index()
+		idx, err := rd.U32()
 		if err != nil {
 			return out[:0], fmt.Errorf("index %d: %w", j, err)
 		}
 		out = append(out, idx)
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return out[:0], err
 	}
 	return out, nil
@@ -381,32 +294,29 @@ func DecodeEstimateRequest(payload []byte, scratch []uint32) ([]uint32, error) {
 
 // AppendEstimateResponse encodes weight estimates in request order.
 func AppendEstimateResponse(dst []byte, weights []float64) []byte {
-	dst = appendUvarint(dst, uint64(len(weights)))
+	dst = codec.AppendUvarint(dst, uint64(len(weights)))
 	for _, w := range weights {
-		dst = appendF64(dst, w)
+		dst = codec.AppendF64(dst, w)
 	}
 	return dst
 }
 
 // DecodeEstimateResponse decodes weight estimates into scratch's capacity.
 func DecodeEstimateResponse(payload []byte, scratch []float64) ([]float64, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxEstimateIndices)
+	rd := codec.NewReader(payload)
+	n, err := rd.Count(MaxEstimateIndices)
 	if err != nil {
 		return scratch[:0], fmt.Errorf("weight count: %w", err)
 	}
-	out := scratch[:0]
-	if cap(out) < upfrontCap(n) {
-		out = make([]float64, 0, upfrontCap(n))
-	}
+	out := codec.Reuse(scratch, n)
 	for j := 0; j < n; j++ {
-		w, err := rd.f64()
+		w, err := rd.F64()
 		if err != nil {
 			return out[:0], fmt.Errorf("weight %d: %w", j, err)
 		}
 		out = append(out, w)
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return out[:0], err
 	}
 	return out, nil

@@ -6,7 +6,7 @@
 // premise is that the sketch is cheap enough to train inline with the
 // stream, so the protocol must not be the bottleneck.
 //
-// The format reuses the decode discipline proven on the gossip wire
+// The format shares its decode layer, internal/codec, with the gossip wire
 // (internal/cluster/wire.go): length-prefixed frames, a CRC32 over every
 // frame, bounded counts on every decoded length, chunked allocation so a
 // tiny hostile frame cannot demand gigabytes up front, and central
@@ -63,6 +63,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"wmsketch/internal/codec"
 )
 
 // Handshake constants.
@@ -111,20 +113,7 @@ const (
 	MaxEstimateIndices = 1 << 16
 	// MaxErrorBytes bounds an error-response message.
 	MaxErrorBytes = 1 << 10
-	// maxUpfrontAlloc caps capacity allocated from a wire-supplied count
-	// alone; larger (still-bounded) buffers grow by append as payload bytes
-	// actually arrive, the same hostile-length discipline as the gossip
-	// wire's readPayload.
-	maxUpfrontAlloc = 1 << 16
 )
-
-// upfrontCap bounds the capacity allocated before payload bytes arrive.
-func upfrontCap(n int) int {
-	if n > maxUpfrontAlloc {
-		return maxUpfrontAlloc
-	}
-	return n
-}
 
 // validOp reports whether b is a known request op.
 func validOp(b byte) bool { return b >= OpUpdate && b <= OpPing }
@@ -219,17 +208,6 @@ func WriteFrame(w io.Writer, kind byte, tag uint32, payload []byte) (int, error)
 // FrameWireSize is the encoded size of a frame carrying payloadLen bytes.
 func FrameWireSize(payloadLen int) int { return headerSize + payloadLen + 4 }
 
-// payloadLength extracts and bounds the header's declared payload length;
-// validating at the extraction site is the decode-bounds idiom, so callers
-// only ever see an already-capped count.
-func payloadLength(hdr []byte) (int, error) {
-	n := int(binary.LittleEndian.Uint32(hdr[6:]))
-	if n > MaxPayloadBytes {
-		return 0, fmt.Errorf("wire: declared payload %d exceeds %d bytes", n, MaxPayloadBytes)
-	}
-	return n, nil
-}
-
 // readFrame reads one frame into buf (reusing its capacity) and returns
 // the kind, tag, payload, and the possibly-grown buffer. Errors here are
 // connection fatal by contract: the stream can no longer be trusted to be
@@ -247,35 +225,16 @@ func readFrame(r io.Reader, buf []byte, valid func(byte) bool, dir string) (kind
 		return 0, 0, nil, buf, fmt.Errorf("wire: nonzero flags %#x (version 1 reserves them)", hdr[1])
 	}
 	tag = binary.LittleEndian.Uint32(hdr[2:])
-	n, err := payloadLength(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[6:]))
+	if n > MaxPayloadBytes {
+		return 0, 0, nil, buf, fmt.Errorf("wire: declared payload %d exceeds %d bytes", n, MaxPayloadBytes)
+	}
+	// The CRC check is seeded with the header's CRC, so it covers header
+	// and payload. Its errors are returned unwrapped: a truncated frame is
+	// the allocation-sensitive failure path (TestTruncatedFrameAllocation).
+	payload, err = codec.ReadPayload(r, buf, n, crc32.ChecksumIEEE(hdr[:]))
 	if err != nil {
-		return 0, 0, nil, buf, err
-	}
-	// Grow by bounded chunks as bytes actually arrive: a hostile length
-	// cannot demand more than maxUpfrontAlloc ahead of real payload data.
-	if cap(buf) < upfrontCap(n) {
-		buf = make([]byte, 0, upfrontCap(n))
-	}
-	payload = buf[:0]
-	for len(payload) < n {
-		chunk := n - len(payload)
-		if chunk > maxUpfrontAlloc {
-			chunk = maxUpfrontAlloc
-		}
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
-			return 0, 0, nil, payload[:0], fmt.Errorf("wire: truncated payload: %w", err)
-		}
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return 0, 0, nil, payload[:0], fmt.Errorf("wire: truncated checksum: %w", err)
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != crc {
-		return 0, 0, nil, payload[:0], fmt.Errorf("wire: checksum mismatch (computed %#x, trailer %#x)", crc, got)
+		return 0, 0, nil, payload, err
 	}
 	return kind, tag, payload, payload, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"wmsketch/internal/codec"
 	"wmsketch/internal/stream"
 )
 
@@ -61,7 +62,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		nil,
 		{0x42},
 		bytes.Repeat([]byte{0xAB}, 1000),
-		bytes.Repeat([]byte{0xCD}, maxUpfrontAlloc+5000), // spans chunked growth
+		bytes.Repeat([]byte{0xCD}, codec.MaxUpfrontAlloc+5000), // spans chunked growth
 	}
 	var buf []byte
 	for i, p := range payloads {
@@ -221,27 +222,27 @@ func TestUpdateCodecRejects(t *testing.T) {
 		}
 	}
 	decodeFails("empty payload", nil)
-	decodeFails("zero examples", appendUvarint(nil, 0))
-	decodeFails("oversize count", appendUvarint(nil, MaxBatchExamples+1))
+	decodeFails("zero examples", codec.AppendUvarint(nil, 0))
+	decodeFails("oversize count", codec.AppendUvarint(nil, MaxBatchExamples+1))
 	decodeFails("truncated", good[:len(good)-3])
 	decodeFails("trailing bytes", append(append([]byte(nil), good...), 0x00))
 	decodeFails("bad label byte", func() []byte {
-		p := appendUvarint(nil, 1)
+		p := codec.AppendUvarint(nil, 1)
 		return append(p, 0x02)
 	}())
 	decodeFails("non-finite value", func() []byte {
-		p := appendUvarint(nil, 1)
+		p := codec.AppendUvarint(nil, 1)
 		p = append(p, 0x01)
-		p = appendUvarint(p, 1)
-		p = appendUvarint(p, 5)
-		return appendF64(p, math.Inf(1))
+		p = codec.AppendUvarint(p, 1)
+		p = codec.AppendUvarint(p, 5)
+		return codec.AppendF64(p, math.Inf(1))
 	}())
 	decodeFails("index overflow", func() []byte {
-		p := appendUvarint(nil, 1)
+		p := codec.AppendUvarint(nil, 1)
 		p = append(p, 0x01)
-		p = appendUvarint(p, 1)
-		p = appendUvarint(p, uint64(math.MaxUint32)+1)
-		return appendF64(p, 1)
+		p = codec.AppendUvarint(p, 1)
+		p = codec.AppendUvarint(p, uint64(math.MaxUint32)+1)
+		return codec.AppendF64(p, 1)
 	}())
 }
 
@@ -293,7 +294,7 @@ func TestEstimateCodecRoundTrip(t *testing.T) {
 	if _, err := AppendEstimateRequest(nil, nil); err == nil {
 		t.Error("empty index batch encoded")
 	}
-	if _, err := DecodeEstimateRequest(appendUvarint(nil, 0), nil); err == nil {
+	if _, err := DecodeEstimateRequest(codec.AppendUvarint(nil, 0), nil); err == nil {
 		t.Error("zero indices decoded")
 	}
 
